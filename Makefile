@@ -4,6 +4,14 @@ GO ?= go
 # for significance when comparing against a saved baseline).
 BENCH_COUNT ?= 1
 
+# MEMBOUND prefixes every test command: a hard 4 GiB address-space cap
+# (ulimit -v), so a test that allocates past it fails by name instead of
+# exhausting the host and taking the whole run down with it, and a 2 GiB
+# soft heap target (GOMEMLIMIT) that makes the GC hold the heap well
+# inside the cap. Every test target, and so `ci`, runs under it; no test
+# may depend on how much RAM the host has.
+MEMBOUND = ulimit -v 4194304 && GOMEMLIMIT=2GiB
+
 .PHONY: all build fmt-check vet test race race-shard trace-tests race-fault race-fleet ci bench bench-compare micro fuzz profile
 
 all: build
@@ -21,17 +29,19 @@ vet:
 	$(GO) vet ./...
 
 test:
-	$(GO) test ./...
+	$(MEMBOUND) $(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(MEMBOUND) $(GO) test -race ./...
 
 # race-shard runs the channel-sharding contracts explicitly (and
 # verbosely) under the race detector: the device- and FTL-level
 # cross-channel no-shared-lock pins, the GC-vs-write-storm isolation
-# stress, and the lock-free stats snapshot race. These are the tests that
-# protect the per-channel flash.Device sharding; `race` runs them too,
-# but a sharding regression should fail loudly and by name.
+# stress, the lock-free stats snapshot race, and the per-stripe TEE-ID
+# journal checks (random-sequence oracle and concurrent teardown under
+# GC relocation). These are the tests that protect the per-channel
+# flash.Device sharding and the stripe-guarded FTL state; `race` runs
+# them too, but a sharding regression should fail loudly and by name.
 #
 # It then runs the sharded-engine differential layer (serial-vs-sharded
 # transcript and Result equality) across a GOMAXPROCS matrix — 1 core
@@ -39,14 +49,14 @@ race:
 # default — because engine ordering bugs hide behind scheduler timing the
 # race detector only explores when real parallelism varies.
 race-shard:
-	$(GO) test -race -count 1 -v \
-		-run 'CrossChannelNoSharedLock|SnapshotRaceWithPrograms|CrossChannelWriteStormIntegrity|GCChannelIsolationUnderWriteStorm|GCOnHostageChannelDoesNotBlockOthers' \
+	$(MEMBOUND) $(GO) test -race -count 1 -v \
+		-run 'CrossChannelNoSharedLock|SnapshotRaceWithPrograms|CrossChannelWriteStormIntegrity|GCChannelIsolationUnderWriteStorm|GCOnHostageChannelDoesNotBlockOthers|IDJournal' \
 		./internal/flash ./internal/ftl
-	GOMAXPROCS=1 $(GO) test -race -count 1 \
+	$(MEMBOUND) GOMAXPROCS=1 $(GO) test -race -count 1 \
 		-run 'Sharded|EngineWorkers|AdaptiveQuantum' ./internal/sim ./internal/core
-	GOMAXPROCS=2 $(GO) test -race -count 1 \
+	$(MEMBOUND) GOMAXPROCS=2 $(GO) test -race -count 1 \
 		-run 'Sharded|EngineWorkers|AdaptiveQuantum' ./internal/sim ./internal/core
-	$(GO) test -race -count 1 \
+	$(MEMBOUND) $(GO) test -race -count 1 \
 		-run 'Sharded|EngineWorkers|AdaptiveQuantum' ./internal/sim ./internal/core ./internal/experiments
 
 # trace-tests runs the trace-replay differential layer explicitly (and
@@ -56,7 +66,7 @@ race-shard:
 # and the suite-level byte-identical rerun check. `race` runs them too,
 # but a trace-replay regression should fail loudly and by name.
 trace-tests:
-	$(GO) test -race -count 1 -v \
+	$(MEMBOUND) $(GO) test -race -count 1 -v \
 		-run 'Trace|Playback|Golden|Malformed|Schedule|EqualArrivals|BurstyFixture' \
 		./internal/trace ./internal/sim ./internal/sched ./internal/core ./internal/experiments
 
@@ -70,7 +80,7 @@ trace-tests:
 # package. `race` runs them too, but a recovery regression should fail
 # loudly and by name.
 race-fault:
-	$(GO) test -race -count 1 -v \
+	$(MEMBOUND) $(GO) test -race -count 1 -v \
 		-run 'Fault|Injector|Breaker|Retry|Backoff|DieDeath|DieDead|MACFault|BadBlock|Retire|DrainTimeout|Sentinel|ZeroPlan|OffloadTimeout' \
 		./internal/fault ./internal/flash ./internal/ftl ./internal/tee \
 		./internal/sim ./internal/sched ./internal/core ./internal/experiments .
@@ -86,7 +96,7 @@ race-fault:
 # experiments-level byte-identical rerun check. `race` runs them too,
 # but a fleet regression should fail loudly and by name.
 race-fleet:
-	$(GO) test -race -count 1 -v \
+	$(MEMBOUND) $(GO) test -race -count 1 -v \
 		-run 'Place|Placements|ScoreTelemetry|FleetFailover|Migration|FleetReplay|OneDeviceFleet|FleetTiming|FleetReplaySummary' \
 		./internal/fleet ./internal/experiments
 
@@ -95,7 +105,8 @@ race-fleet:
 # trace-replay differential layer, the fault-injection recovery layer,
 # the rack-scale fleet layer, and the full test suite (including the
 # 32-tenant offload stress, the FTL stripe-contention tests, and the
-# Trivium differential suite) under the race detector.
+# Trivium differential suite) under the race detector — every test
+# target under MEMBOUND.
 ci: fmt-check build vet race-shard trace-tests race-fault race-fleet race
 
 # bench regenerates the committed machine-readable performance record:

@@ -203,9 +203,16 @@ func (cs *channelShard) freeTotal() int {
 // conventional in sharded stores). dirty lists the stripe's table entries
 // that have diverged from the zero value, in first-dirty order; Reset
 // walks it so a reset costs O(entries written), not O(logical pages).
+//
+// owned[id] is the per-ID journal: every stripe entry whose ID bits were
+// stamped with id since id's last ClearIDs (or the last Reset), so
+// ClearIDs costs O(pages the TEE owned), not O(logical pages). An entry
+// re-stamped to another ID stays listed until id's next ClearIDs, which
+// skips it; the journal never misses an entry that carries id.
 type mappingStripe struct {
 	mu    sync.Mutex
 	dirty []LPA
+	owned [MaxTEEID + 1][]LPA
 	_     [32]byte
 }
 
@@ -216,9 +223,10 @@ type mappingStripe struct {
 // hierarchy (PR 1's single coarse mutex is gone):
 //
 //   - A mapping stripe (stripes[l % S], S = Channels*StripesPerChannel)
-//     guards the table entry of LPA l: its PPA, ID bits, and valid bit.
-//     Translations, permission checks, and the fused translate+read
-//     critical sections hold only the stripe.
+//     guards the table entry of LPA l: its PPA, ID bits, and valid bit,
+//     plus the stripe's dirty list and per-ID journals. Translations,
+//     permission checks, and the fused translate+read critical sections
+//     hold only the stripe.
 //   - A channel shard (chans[ch]) guards the channel's allocator state,
 //     its garbage collection, and the reverse-map entries of its physical
 //     pages. Writes and GC hold the shard of the one channel involved.
@@ -446,8 +454,7 @@ func (f *FTL) SetID(l LPA, id TEEID) error {
 	st := f.stripeOf(l)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	f.markDirty(st, l)
-	f.table[l].id = id
+	f.stampLocked(st, l, id)
 	return nil
 }
 
@@ -468,25 +475,40 @@ func (f *FTL) ClaimID(l LPA, id TEEID) error {
 	if cur := f.table[l].id; cur != IDNone && cur != id {
 		return fmt.Errorf("%w: LPA %d held by ID %d", ErrOwned, l, cur)
 	}
-	f.markDirty(st, l)
-	f.table[l].id = id
+	f.stampLocked(st, l, id)
 	return nil
 }
 
+// stampLocked sets l's ID bits to id, entering l in the stripe's journal
+// for id when the bits change to a TEE ID. Caller holds st, which must be
+// l's stripe.
+func (f *FTL) stampLocked(st *mappingStripe, l LPA, id TEEID) {
+	f.markDirty(st, l)
+	if id != IDNone && f.table[l].id != id {
+		st.owned[id] = append(st.owned[id], l)
+	}
+	f.table[l].id = id
+}
+
 // ClearIDs resets the ID bits of every entry owned by id back to IDNone,
-// used when a TEE terminates and its ID is recycled. It sweeps the table
-// one stripe at a time, so concurrent tenants on other stripes keep
-// translating while a neighbour is torn down.
+// used when a TEE terminates and its ID is recycled. It visits only the
+// entries each stripe's journal lists for id, one stripe at a time, so
+// the cost follows the pages id owned, not the device size, and
+// concurrent tenants on other stripes keep translating while a neighbour
+// is torn down.
 func (f *FTL) ClearIDs(id TEEID) {
-	stripeCount := LPA(len(f.stripes))
+	if id == IDNone || id > MaxTEEID {
+		return // no entry is journaled under these
+	}
 	for s := range f.stripes {
 		st := &f.stripes[s]
 		st.mu.Lock()
-		for l := LPA(s); int64(l) < f.logicalPages; l += stripeCount {
+		for _, l := range st.owned[id] {
 			if f.table[l].id == id {
 				f.table[l].id = IDNone
 			}
 		}
+		st.owned[id] = st.owned[id][:0]
 		st.mu.Unlock()
 	}
 }
@@ -787,7 +809,7 @@ func (f *FTL) commitFor(l LPA, ch int, ppa flash.PPA, id TEEID) (owner TEEID, ad
 		return owner, false, err
 	}
 	if owner == IDNone {
-		f.table[l].id = id
+		f.stampLocked(st, l, id)
 		adopted = true
 	}
 	return owner, adopted, nil
@@ -1068,10 +1090,11 @@ func (f *FTL) ResetStats() {
 
 // Reset returns the FTL to its post-New state: an empty mapping table,
 // full per-die free pools in construction order, no reverse mappings, no
-// in-flight program markers, zero stats. The cost is proportional to the
-// entries written and blocks used since construction (or the last Reset),
-// not to the logical or physical capacity. The device below is NOT reset
-// — pair with flash.Device.Reset, as the pool's recycle path does.
+// in-flight program markers, empty per-ID journals, zero stats. The cost
+// is proportional to the entries written and blocks used since
+// construction (or the last Reset), not to the logical or physical
+// capacity. The device below is NOT reset — pair with
+// flash.Device.Reset, as the pool's recycle path does.
 //
 // Reset takes each stripe and shard lock in turn, but a concurrent
 // operation could still observe a half-reset FTL, so the caller must own
@@ -1085,6 +1108,9 @@ func (f *FTL) Reset() {
 			f.table[l] = entry{}
 		}
 		st.dirty = st.dirty[:0]
+		for id := range st.owned {
+			st.owned[id] = st.owned[id][:0]
+		}
 		st.mu.Unlock()
 	}
 	ppb := flash.PPA(f.geo.PagesPerBlock)

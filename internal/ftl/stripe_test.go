@@ -188,9 +188,10 @@ func TestClaimIDAtomicity(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedStripeOwnership races ID sweeps (ClearIDs walks every
-// stripe) against per-stripe reads and cross-tenant denied writes, the
-// pattern TEE teardown produces while other tenants keep running.
+// TestConcurrentMixedStripeOwnership races ID teardowns (ClearIDs takes
+// every stripe in turn to visit its journal for the ID) against
+// per-stripe reads and cross-tenant denied writes, the pattern TEE
+// teardown produces while other tenants keep running.
 func TestConcurrentMixedStripeOwnership(t *testing.T) {
 	f := newTestFTL(t)
 	var lpas []LPA

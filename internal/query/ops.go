@@ -17,6 +17,10 @@ const (
 	InstrWordStep  = 2  // per input byte of text tokenization
 )
 
+// decodeEachRow, set only by tests, makes Scan hand fn a freshly decoded
+// DecodeRow per row: the reference the reused row is checked against.
+var decodeEachRow bool
+
 // Scanner streams a stored table's rows through a callback, metering page
 // reads, decode work, and memory traffic.
 type Scanner struct {
@@ -26,12 +30,20 @@ type Scanner struct {
 }
 
 // Scan invokes fn for every row. Scanning stops on the first error.
+//
+// Every row is decoded into one Row the scan reuses, and equal string
+// values share one string per scan, so a scan allocates per page, not
+// per row. The Row passed to fn is valid only during the call: a
+// callback that keeps a row past its return must keep r.Clone() instead,
+// as HashJoin.Build does.
 func (sc *Scanner) Scan(fn func(Row) error) error {
 	ps := sc.Store.PageSize()
 	rpp := RowsPerPage(sc.Ref.Schema, ps)
 	rowSize := sc.Ref.Schema.RowSize()
 	base, npages := sc.Ref.PageSpan(ps)
 	remaining := sc.Ref.NRows
+	row := NewRow(sc.Ref.Schema)
+	strs := make(strIntern)
 	for p := 0; p < npages; p++ {
 		data, err := sc.Store.ReadPage(base + uint32(p))
 		if err != nil {
@@ -44,7 +56,11 @@ func (sc *Scanner) Scan(fn func(Row) error) error {
 			n = remaining
 		}
 		for i := 0; i < n; i++ {
-			row := DecodeRow(sc.Ref.Schema, data[i*rowSize:])
+			if decodeEachRow {
+				row = DecodeRow(sc.Ref.Schema, data[i*rowSize:])
+			} else {
+				row.decode(data[i*rowSize:], strs)
+			}
 			sc.Meter.RowsScanned++
 			sc.Meter.AddInstr(InstrRowDecode)
 			if err := fn(row); err != nil {
@@ -68,9 +84,10 @@ func NewHashJoin(m *Meter) *HashJoin {
 	return &HashJoin{Meter: m, table: make(map[int64][]Row)}
 }
 
-// Build inserts a build-side row under key.
+// Build inserts a copy of a build-side row under key, so r may be a
+// Scanner's reused row.
 func (j *HashJoin) Build(key int64, r Row) {
-	j.table[key] = append(j.table[key], r)
+	j.table[key] = append(j.table[key], r.Clone())
 	j.Meter.AddInstr(InstrHashBuild)
 	j.Meter.WriteBytes(int64(r.schema.RowSize()) + 8)
 	j.Meter.Allocate(int64(r.schema.RowSize()) + 8)

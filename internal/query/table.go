@@ -171,11 +171,26 @@ func (t *Table) EncodeRow(i int, dst []byte) {
 	}
 }
 
+// Clone returns a copy of r that owns its storage, so it stays valid
+// after the scan that produced r decodes the next row into it.
+func (r Row) Clone() Row {
+	return Row{schema: r.schema,
+		ints: append([]uint64(nil), r.ints...),
+		strs: append([]string(nil), r.strs...)}
+}
+
 // DecodeRow parses one encoded row.
 func DecodeRow(s Schema, src []byte) Row {
 	r := NewRow(s)
+	r.decode(src, nil)
+	return r
+}
+
+// decode parses one encoded row into r's existing storage, taking each
+// Str16 value from strs.
+func (r Row) decode(src []byte, strs strIntern) {
 	off := 0
-	for c, col := range s {
+	for c, col := range r.schema {
 		switch col.Type {
 		case Str16:
 			b := src[off : off+16]
@@ -183,14 +198,35 @@ func DecodeRow(s Schema, src []byte) Row {
 			for n < 16 && b[n] != 0 {
 				n++
 			}
-			r.strs[c] = string(b[:n])
+			r.strs[c] = strs.get(b[:n])
 			off += 16
 		default:
 			r.ints[c] = binary.LittleEndian.Uint64(src[off:])
 			off += 8
 		}
 	}
-	return r
+}
+
+// maxInterned caps a strIntern's distinct values, so a high-cardinality
+// string column costs one allocation per value, as DecodeRow does,
+// instead of an ever-growing table.
+const maxInterned = 1024
+
+// strIntern shares one string per distinct Str16 value: a scan decodes
+// the same few flags, modes and segments over and over, and looking a
+// value up by its bytes allocates nothing. A nil strIntern interns
+// nothing.
+type strIntern map[string]string
+
+func (t strIntern) get(b []byte) string {
+	if s, ok := t[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if t != nil && len(t) < maxInterned {
+		t[s] = s
+	}
+	return s
 }
 
 // RowsPerPage returns how many rows of this schema fit a page.

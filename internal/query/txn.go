@@ -49,8 +49,10 @@ func rowPage(ref TableRef, pageSize int, i int) (lpa uint32, idx int) {
 // updateRow performs a metered read-modify-write of one row in place.
 // readFootprint is the DRAM read traffic the lookup incurs (buffer-pool
 // page install plus index-path reads) — a calibration lever for the
-// Table 1 write ratios.
-func updateRow(store Store, ref TableRef, m *Meter, i int, readFootprint int64, mutate func(Row) Row) error {
+// Table 1 write ratios. The page is staged in scratch (PageSize bytes,
+// reused across a transaction batch); every Store copies what WritePage
+// hands it, so scratch is free again once the write returns.
+func updateRow(store Store, ref TableRef, m *Meter, i int, readFootprint int64, scratch []byte, mutate func(Row) Row) error {
 	ps := store.PageSize()
 	lpa, idx := rowPage(ref, ps, i)
 	data, err := store.ReadPage(lpa)
@@ -63,7 +65,7 @@ func updateRow(store Store, ref TableRef, m *Meter, i int, readFootprint int64, 
 	row := DecodeRow(ref.Schema, data[idx*rowSize:])
 	m.AddInstr(InstrRowDecode)
 	row = mutate(row)
-	page := append([]byte(nil), data...)
+	page := scratch[:copy(scratch, data)]
 	tmp := NewTable("tmp", ref.Schema)
 	tmp.Append(row)
 	tmp.EncodeRow(0, page[idx*rowSize:])
@@ -85,12 +87,13 @@ func TPCB(store Store, accounts TableRef, histBase uint32, ntxn int, seed uint64
 	histRows := RowsPerPage(HistorySchema, ps)
 	histBuf := NewTable("history", HistorySchema)
 	histPage := histBase
+	scratch := make([]byte, ps)
 	var checksum float64
 	for i := 0; i < ntxn; i++ {
 		acct := rng.Intn(accounts.NRows)
 		delta := float64(rng.Intn(2000) - 1000)
 		m.AddInstr(2500) // SQL parse/plan, locking, logging, B-tree descent
-		err := updateRow(store, accounts, m, acct, int64(ps), func(r Row) Row {
+		err := updateRow(store, accounts, m, acct, int64(ps), scratch, func(r Row) Row {
 			m.AddInstr(2 * InstrArith)
 			r.SetFloat(2, r.Float(2)+delta)
 			checksum += delta
@@ -102,7 +105,7 @@ func TPCB(store Store, accounts TableRef, histBase uint32, ntxn int, seed uint64
 		// Branch row update: TPC-B touches the branch of the account.
 		branch := acct % 100
 		if branch < accounts.NRows {
-			if err := updateRow(store, accounts, m, branch, int64(ps), func(r Row) Row {
+			if err := updateRow(store, accounts, m, branch, int64(ps), scratch, func(r Row) Row {
 				r.SetFloat(2, r.Float(2)+delta)
 				m.AddInstr(InstrArith)
 				return r
@@ -185,6 +188,7 @@ func TPCC(store Store, stock TableRef, olBase uint32, ntxn int, seed uint64, m *
 	olRows := RowsPerPage(HistorySchema, ps)
 	olBuf := NewTable("orderline", HistorySchema)
 	olPage := olBase
+	scratch := make([]byte, ps)
 	var orders, payments, statuses int64
 	for i := 0; i < ntxn; i++ {
 		m.AddInstr(3000) // transaction logic: plan, locking, logging, index walks
@@ -194,7 +198,7 @@ func TPCC(store Store, stock TableRef, olBase uint32, ntxn int, seed uint64, m *
 			m.WriteBytes(512) // order header + commit log record
 			for j := 0; j < 10; j++ {
 				item := rng.Intn(stock.NRows)
-				if err := updateRow(store, stock, m, item, int64(ps/2), func(r Row) Row {
+				if err := updateRow(store, stock, m, item, int64(ps/2), scratch, func(r Row) Row {
 					m.AddInstr(3 * InstrArith)
 					q := r.Float(1) - 1
 					if q < 0 {
@@ -222,7 +226,7 @@ func TPCC(store Store, stock TableRef, olBase uint32, ntxn int, seed uint64, m *
 		case p < 0.88: // payment
 			payments++
 			m.WriteBytes(256) // commit log record
-			if err := updateRow(store, stock, m, rng.Intn(stock.NRows), int64(ps/2), func(r Row) Row {
+			if err := updateRow(store, stock, m, rng.Intn(stock.NRows), int64(ps/2), scratch, func(r Row) Row {
 				m.AddInstr(InstrArith)
 				r.SetFloat(2, r.Float(2)+10)
 				return r

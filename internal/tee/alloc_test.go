@@ -55,3 +55,21 @@ func TestBusSnapshotSurvivesReuse(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkReadPage times one 4 KB read through the full data path:
+// permission-checked translation, flash read, keystream generation, and
+// the bus encryption.
+func BenchmarkReadPage(b *testing.B) {
+	rt, f := testRuntimeWith(b, Options{})
+	lpas := writePages(b, f, 1, 0x5A)
+	tee, err := rt.CreateTEE(Config{Binary: []byte{1}, LPAs: lpas})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(f.Device().Geometry().PageSize))
+	for b.Loop() {
+		if _, err := rt.ReadPage(tee, lpas[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

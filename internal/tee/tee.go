@@ -25,6 +25,7 @@
 package tee
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"sync"
@@ -538,8 +539,9 @@ func (r *Runtime) CreateTEE(cfg Config) (*TEE, error) {
 		return nil, fmt.Errorf("%w: no room for %d-byte heap", ErrTooLarge, cfg.HeapBytes)
 	}
 	// SetIDBits: stamp ownership into the mapping table. ClearIDs on the
-	// rollback path only touches entries carrying the new id, so a
-	// rejected creation leaves the prior owners' bits intact.
+	// rollback path visits only the entries journaled under the new id
+	// and clears only those still carrying it, so a rejected creation
+	// costs what it stamped and leaves the prior owners' bits intact.
 	stamp := r.ftl.ClaimID
 	if r.sharedLPAs {
 		stamp = r.ftl.SetID
@@ -723,9 +725,7 @@ func (r *Runtime) ReadPage(t *TEE, lpa ftl.LPA) ([]byte, error) {
 	ksp := r.pageScratch.Get().(*[]byte)
 	ks := *ksp
 	r.cipher.KeystreamPage(uint32(ppa), ks)
-	for i := range page {
-		ks[i] ^= page[i] // flash-side encryption onto the bus, in place
-	}
+	subtle.XORBytes(ks, ks, page) // flash-side encryption onto the bus, in place
 	r.mu.Lock()
 	if done > r.now {
 		r.now = done

@@ -11,6 +11,12 @@ import (
 
 func testRuntime(t *testing.T) (*Runtime, *ftl.FTL) {
 	t.Helper()
+	return testRuntimeWith(t, Options{})
+}
+
+// testRuntimeWith is testRuntime with caller-chosen runtime options.
+func testRuntimeWith(t testing.TB, opts Options) (*Runtime, *ftl.FTL) {
+	t.Helper()
 	geo := flash.Geometry{
 		Channels: 2, ChipsPerChannel: 1, DiesPerChip: 1, PlanesPerDie: 1,
 		BlocksPerPlane: 32, PagesPerBlock: 16, PageSize: 4096,
@@ -20,7 +26,7 @@ func testRuntime(t *testing.T) (*Runtime, *ftl.FTL) {
 		t.Fatal(err)
 	}
 	f := ftl.New(dev, ftl.Config{})
-	rt, err := NewRuntime(f, Options{})
+	rt, err := NewRuntime(f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +34,7 @@ func testRuntime(t *testing.T) (*Runtime, *ftl.FTL) {
 }
 
 // writePages stores payloads at LPAs 0..n-1 through the host path.
-func writePages(t *testing.T, f *ftl.FTL, n int, fill byte) []ftl.LPA {
+func writePages(t testing.TB, f *ftl.FTL, n int, fill byte) []ftl.LPA {
 	t.Helper()
 	lpas := make([]ftl.LPA, n)
 	for i := range lpas {
@@ -241,10 +247,13 @@ func TestAllowSharedLPAsCompat(t *testing.T) {
 	}
 }
 
+// TestOversizedBinaryRejected sizes the controller DRAM down to a 1 MiB
+// heap region, so a binary one byte past HeapFree stays small enough to
+// allocate on any test host.
 func TestOversizedBinaryRejected(t *testing.T) {
-	rt, f := testRuntime(t)
+	rt, f := testRuntimeWith(t, Options{DRAMBytes: normalBase + 1<<20})
 	lpas := writePages(t, f, 1, 0x60)
-	_, err := rt.CreateTEE(Config{Binary: make([]byte, 8<<30), LPAs: lpas})
+	_, err := rt.CreateTEE(Config{Binary: make([]byte, rt.HeapFree()+1), LPAs: lpas})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized binary returned %v", err)
 	}

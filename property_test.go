@@ -10,15 +10,18 @@ import (
 
 // TestHostTEEQueryEquivalenceProperty is the offload-correctness
 // property: for any dataset seed, every query program must return
-// byte-identical output whether it runs host-side over plain memory or
-// inside an in-storage TEE over the permission-checked, bus-encrypted
-// data path. This is what makes the offload transparent to applications.
+// byte-identical output, and meter identical work, whether it runs
+// host-side over plain memory or inside an in-storage TEE over the
+// permission-checked, bus-encrypted data path. This is what makes the
+// offload transparent to applications. Q3, Q12, Q14 and Q19 keep
+// build-side rows in hash joins across their scans.
 func TestHostTEEQueryEquivalenceProperty(t *testing.T) {
 	programs := []struct {
 		name string
 		p    query.Program
 	}{
-		{"Q1", query.Q1}, {"Q12", query.Q12},
+		{"Q1", query.Q1}, {"Q3", query.Q3}, {"Q12", query.Q12},
+		{"Q14", query.Q14}, {"Q19", query.Q19},
 		{"Filter", query.Filter}, {"Aggregate", query.Aggregate},
 	}
 	prop := func(seed uint64) bool {
@@ -47,12 +50,15 @@ func TestHostTEEQueryEquivalenceProperty(t *testing.T) {
 				t.Logf("seed %d: %s host-side: %v", seed, pr.name, err)
 				return false
 			}
+			// The program meters into its own Meter: the TEE store also
+			// counts page I/O into the task's.
+			var tm query.Meter
 			got, err := ssd.Execute(host.Offload{
 				TaskID: uint32(seed),
 				Binary: make([]byte, 32<<10),
 				LPAs:   sd.AllLPAs(4096),
-			}, func(st query.Store, m *query.Meter) ([]byte, error) {
-				out, err := pr.p(st, sd, m)
+			}, func(st query.Store, _ *query.Meter) ([]byte, error) {
+				out, err := pr.p(st, sd, &tm)
 				return []byte(out), err
 			})
 			if err != nil {
@@ -61,6 +67,10 @@ func TestHostTEEQueryEquivalenceProperty(t *testing.T) {
 			}
 			if string(got) != want {
 				t.Logf("seed %d: %s diverges:\nTEE:  %q\nhost: %q", seed, pr.name, got, want)
+				return false
+			}
+			if tm != hm {
+				t.Logf("seed %d: %s meters diverge:\nTEE:  %+v\nhost: %+v", seed, pr.name, tm, hm)
 				return false
 			}
 		}
