@@ -44,20 +44,23 @@ race:
 # them too, but a sharding regression should fail loudly and by name.
 #
 # It then runs the sharded-engine differential layer (serial-vs-sharded
-# transcript and Result equality) across a GOMAXPROCS matrix — 1 core
-# (dispatch and barriers fully interleaved), 2 cores, and the machine
-# default — because engine ordering bugs hide behind scheduler timing the
-# race detector only explores when real parallelism varies.
+# transcript and Result equality) and the MEE charge-tape differentials
+# (cached vs freshly built tapes, key separation, the cache cap, failed
+# tenants' prefix stats, allocation-free step scheduling) across a
+# GOMAXPROCS matrix — 1 core (dispatch and barriers fully interleaved),
+# 2 cores, and the machine default — because engine ordering bugs and
+# shared-tape races hide behind scheduler timing the race detector only
+# explores when real parallelism varies.
 race-shard:
 	$(MEMBOUND) $(GO) test -race -count 1 -v \
 		-run 'CrossChannelNoSharedLock|SnapshotRaceWithPrograms|CrossChannelWriteStormIntegrity|GCChannelIsolationUnderWriteStorm|GCOnHostageChannelDoesNotBlockOthers|IDJournal' \
 		./internal/flash ./internal/ftl
 	$(MEMBOUND) GOMAXPROCS=1 $(GO) test -race -count 1 \
-		-run 'Sharded|EngineWorkers|AdaptiveQuantum' ./internal/sim ./internal/core
+		-run 'Sharded|EngineWorkers|AdaptiveQuantum|Tape|ReplayStepAllocs' ./internal/sim ./internal/core
 	$(MEMBOUND) GOMAXPROCS=2 $(GO) test -race -count 1 \
-		-run 'Sharded|EngineWorkers|AdaptiveQuantum' ./internal/sim ./internal/core
+		-run 'Sharded|EngineWorkers|AdaptiveQuantum|Tape|ReplayStepAllocs' ./internal/sim ./internal/core
 	$(MEMBOUND) $(GO) test -race -count 1 \
-		-run 'Sharded|EngineWorkers|AdaptiveQuantum' ./internal/sim ./internal/core ./internal/experiments
+		-run 'Sharded|EngineWorkers|AdaptiveQuantum|Tape|ReplayStepAllocs' ./internal/sim ./internal/core ./internal/experiments
 
 # trace-tests runs the trace-replay differential layer explicitly (and
 # verbosely) under the race detector: the golden-fixture and fuzz-seed

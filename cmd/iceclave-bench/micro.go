@@ -430,10 +430,11 @@ func benchQueueing() queueingResults {
 // 64-byte line) and in bulk through mee.TrafficModel (AccessSeq/
 // AccessMany over dense state). Two stream shapes are measured: "scan" is
 // the streaming input-page read (the sequential-run fast path's home
-// turf, gated at >= 3x in make bench-compare), and "mixed" is the
-// chargeMEE shape (sampled scan + skewed writable-heap batch). Both
-// models must land on identical TrafficStats and counter-cache stats —
-// the bulk APIs may not change a single reported statistic.
+// turf, gated at >= 3x in make bench-compare), and "mixed" is the MEE
+// charge shape (core.chargeGen.cost: sampled scan + skewed writable-heap
+// batch). Both models must land on identical TrafficStats and
+// counter-cache stats — the bulk APIs may not change a single reported
+// statistic.
 type meeTrafficResults struct {
 	ScanAccesses   int64   `json:"scan_accesses"`
 	ScanPerLineNs  float64 `json:"scan_per_line_ns_per_access"`
@@ -486,7 +487,7 @@ func benchMEETraffic() meeTrafficResults {
 	identical := ref.Stats() == model.Stats() &&
 		ref.CounterCacheStats() == model.CounterCacheStats()
 
-	// Mixed: the chargeMEE step shape — a sampled input scan (weight 8,
+	// Mixed: the MEE charge step shape — a sampled input scan (weight 8,
 	// stride 8 lines) plus a skewed batch into the writable heap.
 	mixCfg := mee.TrafficConfig{Mode: mee.ModeHybrid, SampleWeight: 8}
 	const heapBase = uint64(1) << 22
@@ -890,10 +891,10 @@ func benchReplaySetup() (replaySetupResults, error) {
 // available core. Results must be struct-identical — the sharded engine
 // exists to spend cores, never to change a bit. The speedup is wall
 // clock, so on a 1-CPU container it sits near 1x and the gate floor
-// adapts to GOMAXPROCS the same way the write-storm gate does; on a
-// multi-core box the prepare pipeline overlaps per-tenant MEE charge
-// computation with the coordinator and the floor rises (see
-// docs/BENCHMARKS.md, "parallel_replay").
+// adapts to GOMAXPROCS the same way the write-storm gate does (see
+// docs/BENCHMARKS.md, "parallel_replay"). Replay schedules no
+// shard-affine work — MEE charges come from precomputed charge tapes —
+// so the sharded leg runs every event on the coordinator.
 type parallelReplayResults struct {
 	Tenants          int     `json:"tenants"`
 	EngineWorkers    int     `json:"engine_workers"`
@@ -907,7 +908,7 @@ type parallelReplayResults struct {
 }
 
 // parallelReplayGate returns the bench-compare floor for the sharded
-// replay speedup: with >= 4 cores the prepare pipeline must buy at least
+// replay speedup: with >= 4 cores the sharded engine must buy at least
 // 1.5x; with fewer cores wall-clock parallelism is unavailable and the
 // gate only rejects the sharded engine regressing well below serial —
 // the signature of dispatch overhead or a barrier stall swamping the

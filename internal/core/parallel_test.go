@@ -16,7 +16,7 @@ import (
 // everything.
 
 // parallelMix is a four-tenant collocation heavy enough to exercise
-// admission queueing, cache contention, and the MEE prepare pipeline.
+// admission queueing, cache contention, and MEE charging.
 func parallelMix(t testing.TB) []*workload.Trace {
 	t.Helper()
 	return []*workload.Trace{
@@ -136,9 +136,8 @@ func TestEngineWorkersIdenticalOpenLoop(t *testing.T) {
 	runBoth(t, traces, ModeIceClave, cfg, 5)
 }
 
-// TestEngineWorkersSingleTenant covers the degenerate mixes: one tenant,
-// and a tenant whose trace the sharded engine still has to drain through
-// the prepare pipeline tail.
+// TestEngineWorkersSingleTenant covers the degenerate mixes: one tenant
+// in IceClave mode and one in host mode.
 func TestEngineWorkersSingleTenant(t *testing.T) {
 	traces := []*workload.Trace{recordTrace(t, "TPC-H Q1")}
 	runBoth(t, traces, ModeIceClave, DefaultConfig(), 2)

@@ -47,10 +47,14 @@ type devFTL struct {
 // or partially recycled build (Misses), and the total wall-clock time
 // spent in replay setup (reset or construction, plus prepopulation).
 // Misses also count setups performed while pooling was disabled.
+// TapeHits and TapeMisses count IceClave tenants whose MEE charge tape
+// was already cached versus built for them (see tape.go).
 type PoolStats struct {
-	Hits    int64
-	Misses  int64
-	SetupNs int64
+	Hits       int64
+	Misses     int64
+	SetupNs    int64
+	TapeHits   int64
+	TapeMisses int64
 }
 
 // resourcePool recycles replay stacks across runs, at two granularities.
@@ -75,6 +79,7 @@ type resourcePool struct {
 	cmtLen  int
 	devs    map[devKey][]devFTL
 	devLen  int
+	tapes   map[tapeKey]*tapeEntry
 	enabled bool
 	stats   PoolStats
 }
@@ -94,11 +99,27 @@ const (
 	poolMaxDevsTotal   = 16
 )
 
+// poolMaxTapes caps the cached MEE charge tapes. One SmallScale suite
+// pass records 66 distinct streams, so the cap leaves it room to spare
+// while bounding what a long-lived process pins (each tape also keeps
+// its trace alive). Past the cap a tape is built, used, and not kept. A
+// variable only so tests can exercise the cap.
+var poolMaxTapes = 128
+
+// tapeEntry is one cached charge tape. The first replay that needs it
+// builds it under once; concurrent replays of the same stream wait on the
+// once and then share the tape read-only.
+type tapeEntry struct {
+	once sync.Once
+	tape *chargeTape
+}
+
 var pool = resourcePool{
 	idle:    make(map[poolKey][]*resources),
 	pages:   make(map[cacheKey][]*dram.PageCache),
 	cmts:    make(map[cacheKey][]*ftl.MappingCache),
 	devs:    make(map[devKey][]devFTL),
+	tapes:   make(map[tapeKey]*tapeEntry),
 	enabled: true,
 }
 
@@ -198,6 +219,28 @@ func (p *resourcePool) release(res *resources) {
 	}
 }
 
+// tape returns the whole-trace charge tape for k: the cached one when
+// pooling is on and k was seen before, otherwise a fresh build (kept for
+// later replays while the cache is under its cap). With pooling off every
+// tenant builds its own tape, which is what lets the pooled-vs-fresh
+// differentials pin reuse against recomputation.
+func (p *resourcePool) tape(k tapeKey) *chargeTape {
+	p.mu.Lock()
+	e := p.tapes[k]
+	if p.enabled && e != nil {
+		p.stats.TapeHits++
+	} else {
+		p.stats.TapeMisses++
+		e = &tapeEntry{}
+		if p.enabled && len(p.tapes) < poolMaxTapes {
+			p.tapes[k] = e
+		}
+	}
+	p.mu.Unlock()
+	e.once.Do(func() { e.tape = buildTape(k, len(k.trace.Steps)+1) })
+	return e.tape
+}
+
 // addSetup accounts one replay setup's wall-clock cost.
 func (p *resourcePool) addSetup(ns int64) {
 	p.mu.Lock()
@@ -215,8 +258,8 @@ func SetPooling(on bool) {
 	pool.mu.Unlock()
 }
 
-// ResetPool drops every idle pooled stack and component and zeroes the
-// pool counters.
+// ResetPool drops every idle pooled stack and component and every cached
+// charge tape, and zeroes the pool counters.
 func ResetPool() {
 	pool.mu.Lock()
 	pool.idle = make(map[poolKey][]*resources)
@@ -227,6 +270,7 @@ func ResetPool() {
 	pool.cmtLen = 0
 	pool.devs = make(map[devKey][]devFTL)
 	pool.devLen = 0
+	pool.tapes = make(map[tapeKey]*tapeEntry)
 	pool.stats = PoolStats{}
 	pool.mu.Unlock()
 }

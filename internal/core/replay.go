@@ -250,103 +250,28 @@ func newResources(cfg Config, traces []*workload.Trace) (*resources, []uint32, e
 	return res, offsets, nil
 }
 
-// Parallel-replay prepare pipeline sizing: each tenant's MEE charge
-// stream may run up to prepDepth steps ahead of its commits, computed
-// prepBatch steps per shard event so dispatch overhead amortizes. The
-// pipe channel holds prepDepth/prepBatch batches, so a prepare event can
-// never block on a full channel (at most prepDepth scheduled-unconsumed
-// steps exist by the pump invariant) — which is what keeps shard workers
-// from ever waiting on the coordinator.
-const (
-	prepDepth = 4096
-	prepBatch = 256
-)
-
-// prepPipe carries one tenant's precomputed MEE charges from its shard
-// worker to the commit loop on the coordinator. Everything except ch,
-// free, and workerNext is coordinator-owned. free recycles fully-consumed
-// batch buffers back to the worker, so the steady-state pipeline
-// allocates nothing — the sharded leg must not generate garbage (and
-// therefore GC debt) the serial leg does not.
-type prepPipe struct {
-	ch        chan []sim.Duration
-	free      chan []sim.Duration
-	buf       []sim.Duration
-	bufIdx    int
-	nextBatch int
-	nBatches  int
-	consumed  int
-
-	// workerNext is the next batch index the shard worker will compute.
-	// It is worker-owned: prepare events for one tenant all land on one
-	// shard, execute FIFO in dispatch order, and dispatch order is batch
-	// order, so a single reusable prepare closure can track the index
-	// itself instead of capturing it (one closure per batch is garbage the
-	// hot path doesn't need).
-	workerNext int
-}
-
-func newPrepPipe(totalSteps int) *prepPipe {
-	return &prepPipe{
-		ch:       make(chan []sim.Duration, prepDepth/prepBatch),
-		free:     make(chan []sim.Duration, prepDepth/prepBatch),
-		nBatches: (totalSteps + prepBatch - 1) / prepBatch,
-	}
-}
-
-// next returns the charge for the next step in order, blocking until its
-// batch's prepare event (always dispatched before the consuming commit by
-// the pump ordering) has completed on the shard worker.
-func (p *prepPipe) next() sim.Duration {
-	if p.bufIdx == len(p.buf) {
-		if p.buf != nil {
-			select {
-			case p.free <- p.buf:
-			default:
-			}
-		}
-		p.buf = <-p.ch
-		p.bufIdx = 0
-	}
-	v := p.buf[p.bufIdx]
-	p.bufIdx++
-	p.consumed++
-	return v
-}
-
-// getBuf returns a recycled batch buffer, or a fresh one while the
-// pipeline warms up. Worker-side.
-func (p *prepPipe) getBuf() []sim.Duration {
-	select {
-	case b := <-p.free:
-		return b[:0]
-	default:
-		return make([]sim.Duration, 0, prepBatch)
-	}
-}
-
 // tenant replays one trace against shared resources.
 type tenant struct {
 	res    *resources
 	trace  *workload.Trace
 	mode   Mode
 	offset uint32
-	rng    *sim.RNG
-	meeM   *mee.TrafficModel
 
-	// shard and pre are set only on the sharded engine (EngineWorkers >
-	// 1) for modes with an MEE model: the tenant's charge stream is
-	// precomputed on event shard `shard` (its channel by FTL affinity)
-	// and consumed through pre in exact step order. The charge
-	// computation is timing-independent — it reads only static step
-	// fields and tenant-private model state (meeM, rng, heapScratch) — so
-	// moving it off the commit path cannot change any Result bit.
-	shard int
-	pre   *prepPipe
-	// prepFn is the single reusable prepare-event callback (see
-	// prepPipe.workerNext); scheduling it repeatedly avoids a closure
-	// allocation per batch.
-	prepFn func(sim.Time)
+	// tape is the tenant's MEE charge stream (IceClave mode only; nil
+	// otherwise) and tapeAt the cursor into its non-zero charges. The
+	// stream reads only static step fields and the tenant's seed, never
+	// the clock, so charging from a tape recorded once — even by another
+	// run — applies the same exposures a live model would.
+	tape   *chargeTape
+	tapeAt int
+
+	// eng, adm, and ticket are the run's event backbone, admission gate,
+	// and this tenant's admission ticket; stepFn is the tenant's one step
+	// callback, bound once so scheduling a step allocates nothing.
+	eng    sim.Backbone
+	adm    *sched.VirtualAdmission
+	ticket *sim.Ticket
+	stepFn func(sim.Time)
 
 	// arrival is the tenant's scheduled submission instant; zero without
 	// an ArrivalSchedule. QueueDelay and Total count from it.
@@ -354,12 +279,7 @@ type tenant struct {
 	now           sim.Time
 	step          int
 	lastWrite     sim.Time
-	heapPages     uint64
 	secMapPending int
-	// heapScratch is the reused address buffer chargeMEE fills per step;
-	// it grows to the largest step's batch once and never reallocates, so
-	// the per-step hot path stays allocation-free.
-	heapScratch []uint64
 
 	// Sliding-window prefetcher state: read steps are issued up to
 	// PrefetchWindow ahead of consumption, which is what lets a scan
@@ -381,7 +301,8 @@ type tenant struct {
 	// from. retry re-runs just the faulted storage phase (the step's
 	// compute and translation charges are never re-applied); attempts
 	// counts the current step's failures; readErr records the newest
-	// failed prefetch issue, surfaced when consumption catches up.
+	// failed prefetch issue, surfaced when consumption catches up;
+	// consumed is set when the tenant fails (see fail).
 	faults    *fault.Plan
 	tenantIdx int
 	macOps    uint64
@@ -391,6 +312,7 @@ type tenant struct {
 	retry     func() error
 	attempts  int
 	readErr   error
+	consumed  int
 }
 
 func newTenant(res *resources, tr *workload.Trace, mode Mode, offset uint32, seed uint64) *tenant {
@@ -399,10 +321,10 @@ func newTenant(res *resources, tr *workload.Trace, mode Mode, offset uint32, see
 		trace:  tr,
 		mode:   mode,
 		offset: offset,
-		rng:    sim.NewRNG(seed),
 		result: Result{Workload: tr.Name, Mode: mode},
 	}
 	writes := 0
+	t.readSteps = make([]int, 0, len(tr.Steps))
 	for i, st := range tr.Steps {
 		if st.Op == workload.OpRead {
 			t.readSteps = append(t.readSteps, i)
@@ -418,38 +340,11 @@ func newTenant(res *resources, tr *workload.Trace, mode Mode, offset uint32, see
 	if len(tr.Steps) > 0 && float64(writes)/float64(len(tr.Steps)) > 0.05 {
 		t.window = 8
 	}
-	// The writable intermediate region is sized from the workload's
-	// measured working set (hash tables, buckets, output buffers),
-	// bounded by the 16 MB TEE heap preallocation.
-	t.heapPages = uint64(tr.Meter.Intermediate/mee.PageSize) + 1
-	if t.heapPages > maxHeapPages {
-		t.heapPages = maxHeapPages
-	}
 	if mode == ModeIceClave {
-		sampling := res.cfg.MEESampling
-		if sampling < 1 {
-			sampling = 1
-		}
-		t.meeM = mee.NewTrafficModel(mee.TrafficConfig{
-			Mode:              res.cfg.MEEMode,
-			CounterCacheBytes: res.cfg.CounterCacheBytes,
-			SampleWeight:      sampling,
-		})
-		// The intermediate/result region of the TEE heap is writable;
-		// input pages default to read-only.
-		for p := uint64(0); p < t.heapPages; p++ {
-			t.meeM.SetPageWritable(heapBasePage+p, true)
-		}
+		t.tape = pool.tape(newTapeKey(tr, &res.cfg, seed))
 	}
 	return t
 }
-
-// The synthesized TEE-heap address region for intermediate data: up to
-// 16 MB of writable pages far above any input page index.
-const (
-	heapBasePage = uint64(1) << 22
-	maxHeapPages = uint64(16<<20) / mee.PageSize
-)
 
 // secMapBatch is how many translations the secure-world-mapping variant
 // amortizes per world-switch round trip (Figure 5 comparison).
@@ -468,17 +363,18 @@ func (t *tenant) advance() error {
 		return nil
 	}
 	var st workload.Step
-	tail := t.step == len(t.trace.Steps)
+	k := t.step
+	tail := k == len(t.trace.Steps)
 	if tail {
 		st = t.trace.Tail
 	} else {
-		st = t.trace.Steps[t.step]
+		st = t.trace.Steps[k]
 	}
 	t.step++
 
 	// Compute phase: instructions on the mode's CPU, memory-security
 	// charges on the step's memory accesses.
-	t.computePhase(st)
+	t.computePhase(st, k)
 	if tail {
 		// Wait out buffered writes at the end.
 		if t.lastWrite > t.now {
@@ -505,7 +401,9 @@ func (t *tenant) advance() error {
 	return nil
 }
 
-func (t *tenant) computePhase(st workload.Step) {
+// computePhase charges step k's compute: instructions on the mode's CPU
+// and memory-security charges on its memory accesses.
+func (t *tenant) computePhase(st workload.Step, k int) {
 	if st.PreInstr > 0 {
 		if t.mode.InStorage() {
 			// Core-queueing delay under multi-tenancy counts as compute
@@ -525,137 +423,14 @@ func (t *tenant) computePhase(st workload.Step) {
 			}
 		}
 	}
-	// MEE charges for the compute window's memory traffic (IceClave only).
-	// On the sharded engine the charge was precomputed on the tenant's
-	// event shard; consuming it here in step order applies the identical
-	// sequence of exposures (steps without memory traffic carry a zero,
-	// preserving the RNG and model state stream exactly).
-	if t.meeM != nil {
-		if t.pre != nil {
-			exposed := t.pre.next()
-			t.now += exposed
-			t.result.SecurityTime += exposed
-		} else if st.PreMemReads > 0 || st.PreMemWrites > 0 {
-			t.chargeMEE(st)
-		}
-	}
-}
-
-// chargeMEE synthesizes addresses for the step's memory accesses and runs
-// them (sampled) through the counter-cache model's bulk APIs. Heap traffic
-// (hash tables, aggregation state, intermediate buffers) follows a skewed
-// distribution — hot structures dominate — and the exposed cost of the
-// extra metadata traffic is scaled by MEEExposure because memory-level
-// parallelism overlaps most of it with execution.
-//
-// This is the hottest loop in the whole experiment suite: every replayed
-// step funnels its memory accesses through here. The input scan goes
-// through AccessSeq (one call per step, run-collapsed metadata probes) and
-// the heap batch through AccessMany over a reused scratch slice, so the
-// per-step path allocates nothing and pays no per-access call or closure
-// overhead. The access stream — addresses, order, and RNG draws — is
-// exactly the per-line loop's, so every reported statistic is unchanged
-// (mee's differential suite pins the model side; the suite's
-// output_identical check pins end to end).
-func (t *tenant) chargeMEE(st workload.Step) {
-	exposed := t.chargeCost(st)
-	t.now += exposed
-	t.result.SecurityTime += exposed
-}
-
-// chargeCost is chargeMEE's computation half: it advances the tenant's
-// MEE model, RNG, and scratch state and returns the exposed duration
-// without applying it to the clock. It touches no shared or
-// timing-dependent state, which is what lets the sharded engine run it
-// ahead on a parallel worker.
-func (t *tenant) chargeCost(st workload.Step) sim.Duration {
-	sampling := int64(t.res.cfg.MEESampling)
-	if sampling < 1 {
-		sampling = 1
-	}
-	var extra sim.Duration
-	// Input page scan: sequential read-only lines at the page's address,
-	// every sampling-th line.
-	pageLines := int64(t.trace.PageSize / mee.LineSize)
-	seqReads := st.PreMemReads
-	if seqReads > pageLines {
-		seqReads = pageLines
-	}
-	base := uint64(st.LPA) * uint64(t.trace.PageSize)
-	if n := (seqReads + sampling - 1) / sampling; n > 0 {
-		extra += t.meeM.AccessSeq(base, n, false, uint64(sampling)*mee.LineSize)
-	}
-	// Remaining reads and all writes: skewed traffic in the writable
-	// intermediate heap. Only the cache-miss fraction of heap accesses
-	// reaches DRAM (and thus the MEE); the processor caches absorb the
-	// rest (~25% miss). Addresses are drawn read-batch first, then
-	// write-batch — the same RNG sequence the per-line loop consumed.
-	randReads := (st.PreMemReads - seqReads) / 4
-	randWrites := st.PreMemWrites / 4
-	nr := (randReads + sampling - 1) / sampling
-	nw := (randWrites + sampling - 1) / sampling
-	if need := int(nr + nw); cap(t.heapScratch) < need {
-		t.heapScratch = make([]uint64, need)
-	}
-	addrs := t.heapScratch[:nr+nw]
-	for i := range addrs {
-		page := heapBasePage + uint64(t.rng.Zipf(int64(t.heapPages), 0.85, 0.05))
-		addrs[i] = page*mee.PageSize + uint64(t.rng.Intn(mee.LinesPerPage))*mee.LineSize
-	}
-	extra += t.meeM.AccessMany(addrs[:nr], false)
-	extra += t.meeM.AccessMany(addrs[nr:], true)
-	return sim.Duration(float64(extra) * t.res.cfg.MEEExposure)
-}
-
-// stepAt returns step k of the replay's step sequence; index len(Steps)
-// is the tail compute, matching advance.
-func (t *tenant) stepAt(k int) workload.Step {
-	if k == len(t.trace.Steps) {
-		return t.trace.Tail
-	}
-	return t.trace.Steps[k]
-}
-
-// prepareNextBatch computes the MEE charges for the worker's next prepare
-// batch (workerNext — see prepPipe; dispatch order is batch order, so the
-// worker can track the index itself). It runs on the tenant's event shard
-// and touches only tenant-private state; steps without memory traffic
-// contribute a zero without touching the model, exactly mirroring the
-// serial chargeMEE guard.
-func (t *tenant) prepareNextBatch() {
-	p := t.pre
-	b := p.workerNext
-	p.workerNext++
-	start := b * prepBatch
-	end := start + prepBatch
-	if total := len(t.trace.Steps) + 1; end > total {
-		end = total
-	}
-	out := p.getBuf()
-	for k := start; k < end; k++ {
-		st := t.stepAt(k)
-		var d sim.Duration
-		if st.PreMemReads > 0 || st.PreMemWrites > 0 {
-			d = t.chargeCost(st)
-		}
-		out = append(out, d)
-	}
-	p.ch <- out
-}
-
-// pumpPrepares schedules prepare batches on the tenant's shard until the
-// stream is prepDepth steps ahead of consumption. Coordinator-only. The
-// ordering invariant the pipeline rests on: a batch is always scheduled
-// (at the current instant, with a smaller seq) before the commit event
-// that first consumes it is scheduled, so in the engine's global
-// (time, seq) order the prepare is dispatched to its worker before the
-// consuming commit runs — the blocking receive in prepPipe.next can only
-// ever wait on in-flight work, never on an unscheduled batch.
-func (t *tenant) pumpPrepares(eng sim.Backbone) {
-	p := t.pre
-	for p.nextBatch < p.nBatches && p.nextBatch*prepBatch < p.consumed+prepDepth {
-		p.nextBatch++
-		eng.AtShard(t.shard, eng.Now(), t.prepFn)
+	// MEE charges for the compute window's memory traffic (IceClave only),
+	// read from the tenant's charge tape: step k's exposure if it has a
+	// non-zero one, nothing otherwise.
+	if tp := t.tape; tp != nil && t.tapeAt < len(tp.at) && int(tp.at[t.tapeAt]) == k {
+		exposed := tp.charge[t.tapeAt]
+		t.tapeAt++
+		t.now += exposed
+		t.result.SecurityTime += exposed
 	}
 }
 
@@ -668,7 +443,7 @@ func (t *tenant) pumpPrepares(eng sim.Backbone) {
 // refills). consumeRead surfaces the error once consumption catches up
 // to the failed issue, clearing it so the scheduled retry reissues.
 func (t *tenant) issueAhead() {
-	cfg := t.res.cfg
+	cfg := &t.res.cfg
 	if t.readErr != nil {
 		return
 	}
@@ -721,7 +496,7 @@ func (t *tenant) issueAhead() {
 // consume half is returned; its retry re-enters consumeRead directly, so
 // the translation charges are never re-applied.
 func (t *tenant) readPhase(st workload.Step, lpa ftl.LPA) error {
-	cfg := t.res.cfg
+	cfg := &t.res.cfg
 	// Address translation on the consume path.
 	switch {
 	case t.mode == ModeIceClave && cfg.SecureWorldMapping:
@@ -831,8 +606,13 @@ func (t *tenant) finish() Result {
 	if t.cmtHit+t.cmtMiss > 0 {
 		t.result.CMTMissRate = float64(t.cmtMiss) / float64(t.cmtHit+t.cmtMiss)
 	}
-	if t.meeM != nil {
-		t.result.MEE = t.meeM.Stats()
+	if t.tape != nil {
+		t.result.MEE = t.tape.stats
+		if t.result.Failed {
+			// A failed tenant charged only the steps it consumed; rebuild
+			// the traffic statistics over exactly that prefix.
+			t.result.MEE = buildTape(t.tape.key, t.consumed).stats
+		}
 	}
 	t.result.PageCacheHitRate = t.res.pageCache.Stats().HitRate()
 	return t.result
@@ -847,10 +627,11 @@ func Run(tr *workload.Trace, mode Mode, cfg Config) (Result, error) {
 	return results[0], nil
 }
 
-// begin opens the tenant's replay at its admission time: the clock starts
-// at the grant (so queueing delay is part of Total), the wait is measured
-// from the tenant's arrival, and the Table 5 creation cost is charged.
-func (t *tenant) begin(granted sim.Time) {
+// grant is the tenant's admission callback. It opens the replay at its
+// admission time — the clock starts at the grant (so queueing delay is
+// part of Total), the wait is measured from the tenant's arrival, and the
+// Table 5 creation cost is charged — and runs the first step.
+func (t *tenant) grant(granted sim.Time) {
 	t.now = granted
 	t.granted = granted
 	t.result.QueueDelay = sim.Duration(granted - t.arrival)
@@ -858,6 +639,7 @@ func (t *tenant) begin(granted sim.Time) {
 		t.now += t.res.cfg.Costs.Create
 		t.result.TEETime += t.res.cfg.Costs.Create
 	}
+	t.stepEvent()
 }
 
 // isFaultErr reports whether err belongs to the recoverable fault
@@ -901,14 +683,14 @@ func retryPolicy(cfg Config) sched.RetryPolicy {
 // (parked until the half-open probe window when the circuit is open) or
 // fail the offload once the step's retry budget or the offload deadline
 // is exhausted.
-func (t *tenant) faultEvent(eng sim.Backbone, adm *sched.VirtualAdmission, ticket *sim.Ticket) {
+func (t *tenant) faultEvent() {
 	t.attempts++
 	if t.breaker != nil && t.breaker.Failure(t.now) {
 		t.result.BreakerTrips++
 	}
 	deadlineHit := t.policy.Timeout > 0 && t.now >= t.granted+sim.Time(t.policy.Timeout)
 	if t.attempts > t.policy.MaxRetries || deadlineHit {
-		t.fail(adm, ticket)
+		t.fail()
 		return
 	}
 	t.result.Retries++
@@ -922,21 +704,24 @@ func (t *tenant) faultEvent(eng sim.Backbone, adm *sched.VirtualAdmission, ticke
 		}
 	}
 	t.now = next
-	eng.AtOverlap(t.now, func(sim.Time) { t.stepEvent(eng, adm, ticket) })
+	t.eng.AtOverlap(t.now, t.stepFn)
 }
 
 // fail abandons the offload: the tenant stops consuming its trace,
 // charges teardown, and releases its admission slot so queued tenants
 // still get their grants — graceful degradation, never a stuck engine.
-func (t *tenant) fail(adm *sched.VirtualAdmission, ticket *sim.Ticket) {
+// consumed keeps the number of steps whose compute phase ran, the prefix
+// finish reports MEE traffic for.
+func (t *tenant) fail() {
 	t.result.Failed = true
 	t.retry = nil
+	t.consumed = t.step
 	t.step = len(t.trace.Steps) + 2 // past done: never advances again
 	if t.mode == ModeIceClave {
 		t.now += t.res.cfg.Costs.Delete
 		t.result.TEETime += t.res.cfg.Costs.Delete
 	}
-	adm.Release(ticket, t.now)
+	t.adm.Release(t.ticket, t.now)
 }
 
 // stepEvent is one backbone event: replay one step, then reschedule at the
@@ -944,20 +729,17 @@ func (t *tenant) fail(adm *sched.VirtualAdmission, ticket *sim.Ticket) {
 // releases the admission slot — which is what lets a queued tenant's grant
 // fire at this tenant's virtual completion time.
 //
-// Commits are AtOverlap events: on the sharded engine they run on the
-// coordinator in exact global order but without the barrier, because the
-// only state they share with in-flight shard work is the prepare pipe —
-// whose channel is the synchronization. Everything else a commit touches
-// (servers, caches, FTL, device) is coordinator-confined during a
-// parallel run. On the serial engine AtOverlap is At, so this is the
-// pre-sharding behaviour verbatim.
-func (t *tenant) stepEvent(eng sim.Backbone, adm *sched.VirtualAdmission, ticket *sim.Ticket) {
+// Steps are AtOverlap events: on the sharded engine they run on the
+// coordinator in exact global order without the barrier, since replay
+// schedules no shard-affine work that a step could overlap. On the serial
+// engine AtOverlap is At.
+func (t *tenant) stepEvent() {
 	if t.done() {
 		if t.mode == ModeIceClave {
 			t.now += t.res.cfg.Costs.Delete
 			t.result.TEETime += t.res.cfg.Costs.Delete
 		}
-		adm.Release(ticket, t.now)
+		t.adm.Release(t.ticket, t.now)
 		return
 	}
 	var err error
@@ -971,7 +753,7 @@ func (t *tenant) stepEvent(eng sim.Backbone, adm *sched.VirtualAdmission, ticket
 		err = t.advance()
 	}
 	if err != nil {
-		t.faultEvent(eng, adm, ticket)
+		t.faultEvent()
 		return
 	}
 	if t.attempts > 0 {
@@ -980,10 +762,7 @@ func (t *tenant) stepEvent(eng sim.Backbone, adm *sched.VirtualAdmission, ticket
 			t.breaker.Success(t.now)
 		}
 	}
-	if t.pre != nil {
-		t.pumpPrepares(eng)
-	}
-	eng.AtOverlap(t.now, func(sim.Time) { t.stepEvent(eng, adm, ticket) })
+	t.eng.AtOverlap(t.now, t.stepFn)
 }
 
 // RunMulti replays several traces concurrently against shared hardware —
@@ -1085,14 +864,11 @@ func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, R
 		}
 	}
 	adm := sched.NewVirtualAdmission(eng, vcfg)
-	// Build every tenant (and, on the sharded engine, seed its prepare
-	// pipeline on its channel's event shard) before any submission: the
-	// initial prepare events must precede every grant in the engine's
-	// (time, seq) order so a commit can never consume a batch that was not
-	// yet dispatched.
 	tenants := make([]*tenant, len(traces))
 	for i, tr := range traces {
 		tn := newTenant(res, tr, mode, offsets[i], cfg.Seed+uint64(i)*7919)
+		tn.eng, tn.adm = eng, adm
+		tn.stepFn = func(sim.Time) { tn.stepEvent() }
 		if cfg.ArrivalSchedule != nil {
 			tn.arrival = cfg.ArrivalSchedule.Submissions[i].At
 		}
@@ -1108,54 +884,33 @@ func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, R
 				tn.breaker = breakers.For(key)
 			}
 		}
-		// The MEE prepare pipeline runs charge computation ahead of the
-		// commits, so a tenant that fails mid-trace would have advanced
-		// its MEE model past the failure point by up to prepDepth steps —
-		// making Result.MEE depend on prefetch depth and diverge from the
-		// serial engine. Under a fault plan (where failure is possible)
-		// the sharded engine therefore computes charges inline on the
-		// coordinator, trading prepare parallelism for exactness.
-		if cfg.EngineWorkers > 1 && tn.meeM != nil && !injecting {
-			tn.shard = res.ftl.ChannelOf(ftl.LPA(offsets[i]))
-			tn.pre = newPrepPipe(len(tr.Steps) + 1)
-			tn.prepFn = func(sim.Time) { tn.prepareNextBatch() }
-			tn.pumpPrepares(eng)
-		}
 		tenants[i] = tn
 	}
+	// Grants fire only once the engine runs, so every ticket is stored
+	// before any grant callback reads it.
 	if cfg.ArrivalSchedule == nil {
 		for i, tr := range traces {
 			tn := tenants[i]
-			var ticket *sim.Ticket
-			ticket = adm.Submit(0, tr.Name, sched.PriorityNormal, func(granted sim.Time) {
-				tn.begin(granted)
-				tn.stepEvent(eng, adm, ticket)
-			})
+			tn.ticket = adm.Submit(0, tr.Name, sched.PriorityNormal, tn.grant)
 		}
 	} else {
 		entries := make([]sched.ScheduledArrival, len(traces))
-		tickets := make([]*sim.Ticket, len(traces))
 		for i, tr := range traces {
 			sub := cfg.ArrivalSchedule.Submissions[i]
-			tn := tenants[i]
 			key := sub.Tenant
 			if key == "" {
 				key = tr.Name
 			}
-			i := i
 			entries[i] = sched.ScheduledArrival{
 				At:       sub.At,
 				Tenant:   key,
 				Priority: sched.Priority(sub.Band),
-				Fn: func(granted sim.Time) {
-					tn.begin(granted)
-					tn.stepEvent(eng, adm, tickets[i])
-				},
+				Fn:       tenants[i].grant,
 			}
 		}
-		// Grants fire only once the engine runs, so the tickets slice is
-		// fully populated before any callback dereferences it.
-		copy(tickets, adm.Playback(entries))
+		for i, tk := range adm.Playback(entries) {
+			tenants[i].ticket = tk
+		}
 	}
 	eng.Run()
 	stats := RunStats{

@@ -90,7 +90,7 @@ func TestSeqMatchesPerLine(t *testing.T) {
 			// Read-only input scan: 16 pages, line stride.
 			p.seq(0, 16*LinesPerPage, false, LineSize)
 			p.check(t, "ro scan")
-			// Sampled scan (the chargeMEE shape): stride 8 lines.
+			// Sampled scan (the core MEE charge shape): stride 8 lines.
 			p.seq(64*PageSize, 64, false, 8*LineSize)
 			p.check(t, "sampled ro scan")
 			// Writable-region scan: reads then writes (writes advance

@@ -15,8 +15,8 @@ import (
 // degenerate-geometry fallback of the group fast path. Seeds live in
 // testdata/fuzz as the committed regression corpus.
 func FuzzTrafficBatchedVsReference(f *testing.F) {
-	// Mode x weight matrix over a scan-then-heap stream (the chargeMEE
-	// shape), plus a degenerate-cache seed and a permission-flip seed.
+	// Mode x weight matrix over a scan-then-heap stream (the core MEE
+	// charge shape), plus a degenerate-cache seed and a permission-flip seed.
 	scanHeap := []byte{}
 	scanHeap = appendOp(scanHeap, 0, 1024|1<<40)          // set page 1024 writable
 	scanHeap = appendOp(scanHeap, 1, 0)                   // RO seq scan

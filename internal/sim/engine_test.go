@@ -130,3 +130,27 @@ func TestEngineMonotonicClockProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkEngineStep measures one event-loop step the way a replay uses
+// it: pop the earliest of several pending events, run it, and schedule its
+// successor. Sixteen self-rescheduling chains keep the heap as deep as a
+// multi-tenant replay's; each op is one dispatched event.
+func BenchmarkEngineStep(b *testing.B) {
+	const chains = 16
+	var e Engine
+	left := b.N
+	fns := make([]func(Time), chains)
+	for i := range fns {
+		i := i
+		fns[i] = func(now Time) {
+			if left > 0 {
+				left--
+				e.At(now+Time(1+i), fns[i])
+			}
+		}
+		e.At(Time(i), fns[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}

@@ -29,7 +29,10 @@ type Step struct {
 	PreMemWrites int64
 }
 
-// Trace is a recorded workload execution.
+// Trace is a recorded workload execution. A trace is immutable once
+// recorded: replays share it read-only, and core caches per-trace results
+// (MEE charge tapes) keyed by the trace's identity, so changing a
+// recorded trace's steps in place would replay stale charges.
 type Trace struct {
 	Name string
 	// Steps in execution order.
