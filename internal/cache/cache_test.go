@@ -167,3 +167,56 @@ func TestHitRate(t *testing.T) {
 		t.Fatalf("hit rate = %v, want 0.75", s.HitRate())
 	}
 }
+
+// benchStream is a fixed address stream for the cache benchmarks: 64-byte
+// lines drawn by a xorshift generator from a working set twice the 128 KB
+// counter-cache size, so the 8-way cache sees a steady mix of hits,
+// misses, and evictions (about half the probes hit). Its length is a
+// power of two, so an op indexes it with a mask.
+func benchStream() []uint64 {
+	const lines = 2 * (128 << 10) / 64
+	addrs := make([]uint64, 1<<14)
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := range addrs {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		addrs[i] = x % lines * 64
+	}
+	return addrs
+}
+
+// BenchmarkAccess times one Access probe on a cache shaped like the MEE
+// counter cache (128 KB, 64-byte lines, 8 ways); every fourth probe is a
+// write, so evictions include dirty writebacks.
+func BenchmarkAccess(b *testing.B) {
+	c := New("bench", 128<<10, 64, 8)
+	addrs := benchStream()
+	mask := len(addrs) - 1
+	for _, a := range addrs {
+		c.Access(a, false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Access(addrs[i&mask], i&3 == 3)
+	}
+}
+
+// BenchmarkAccessRun times one AccessRun of 64 touches — the streaming
+// scan's sequential-run fast path, one metadata line re-touched once per
+// data line — on the same cache and stream as BenchmarkAccess. Each op is
+// one call, not 64 accesses.
+func BenchmarkAccessRun(b *testing.B) {
+	c := New("bench", 128<<10, 64, 8)
+	addrs := benchStream()
+	mask := len(addrs) - 1
+	for _, a := range addrs {
+		c.AccessRun(a, false, 64)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.AccessRun(addrs[i&mask], i&3 == 3, 64)
+	}
+}

@@ -265,10 +265,10 @@ type tenant struct {
 	tape   *chargeTape
 	tapeAt int
 
-	// eng, adm, and ticket are the run's event backbone, admission gate,
+	// eng, adm, and ticket are the run's event engine, admission gate,
 	// and this tenant's admission ticket; stepFn is the tenant's one step
 	// callback, bound once so scheduling a step allocates nothing.
-	eng    sim.Backbone
+	eng    *sim.Engine
 	adm    *sched.VirtualAdmission
 	ticket *sim.Ticket
 	stepFn func(sim.Time)
@@ -704,7 +704,7 @@ func (t *tenant) faultEvent() {
 		}
 	}
 	t.now = next
-	t.eng.AtOverlap(t.now, t.stepFn)
+	t.eng.At(t.now, t.stepFn)
 }
 
 // fail abandons the offload: the tenant stops consuming its trace,
@@ -724,15 +724,10 @@ func (t *tenant) fail() {
 	t.adm.Release(t.ticket, t.now)
 }
 
-// stepEvent is one backbone event: replay one step, then reschedule at the
+// stepEvent is one engine event: replay one step, then reschedule at the
 // tenant's advanced clock. A drained trace charges the deletion cost and
 // releases the admission slot — which is what lets a queued tenant's grant
 // fire at this tenant's virtual completion time.
-//
-// Steps are AtOverlap events: on the sharded engine they run on the
-// coordinator in exact global order without the barrier, since replay
-// schedules no shard-affine work that a step could overlap. On the serial
-// engine AtOverlap is At.
 func (t *tenant) stepEvent() {
 	if t.done() {
 		if t.mode == ModeIceClave {
@@ -762,7 +757,7 @@ func (t *tenant) stepEvent() {
 			t.breaker.Success(t.now)
 		}
 	}
-	t.eng.AtOverlap(t.now, t.stepFn)
+	t.eng.At(t.now, t.stepFn)
 }
 
 // RunMulti replays several traces concurrently against shared hardware —
@@ -836,17 +831,7 @@ func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, R
 			})
 		}
 	}
-	// Engine selection: the exact serial loop by default, the sharded
-	// parallel engine (one event shard per flash channel) when the
-	// configuration asks for workers. Everything downstream is written
-	// against the Backbone interface and produces bit-identical Results
-	// either way.
-	var eng sim.Backbone
-	if cfg.EngineWorkers > 1 {
-		eng = sim.NewShardedEngine(res.dev.Geometry().Channels, cfg.EngineWorkers)
-	} else {
-		eng = &sim.Engine{}
-	}
+	eng := &sim.Engine{}
 	vcfg := sched.VirtualConfig{
 		MaxInFlight:       cfg.AdmissionSlots,
 		TenantMaxInFlight: cfg.AdmissionTenantSlots,

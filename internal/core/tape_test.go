@@ -11,8 +11,8 @@ import (
 
 // Differential tests for the MEE charge tapes: a replay that charges from
 // a cached tape must produce Results struct-identical to one that builds
-// its own (pooling off), under every key field, a full cache, a fault
-// plan that fails tenants mid-trace, and the sharded engine.
+// its own (pooling off), under every key field, a full cache, and a fault
+// plan that fails tenants mid-trace.
 
 // tapeMix is a two-tenant collocation: a scan and a write-heavy
 // transaction trace, so both tenant seeds and both heap shapes are keyed.
@@ -209,19 +209,6 @@ func TestTapeFailedTenantPrefixStats(t *testing.T) {
 			t.Fatalf("pooled=%v: the plan failed no tenant, so nothing is pinned", pooled)
 		}
 	}
-}
-
-// TestTapeEngineWorkersIdentical pins the sharded engine against the
-// serial one now that replay precomputes nothing on shard workers, with
-// and without a fault plan that fails tenants mid-trace.
-func TestTapeEngineWorkersIdentical(t *testing.T) {
-	traces := parallelMix(t)
-	cfg := DefaultConfig()
-	cfg.AdmissionSlots = 2
-	runBoth(t, traces, ModeIceClave, cfg, 2)
-	cfg.FaultPlan = &fault.Plan{Seed: 11, ReadTransient: 0.004, MACFail: 0.002}
-	cfg.FaultRetryLimit = -1
-	runBoth(t, traces, ModeIceClave, cfg, 2)
 }
 
 // TestTapeCacheCapChangesNoResult shrinks the tape cache to one entry:

@@ -217,3 +217,72 @@ func TestInternalBandwidth(t *testing.T) {
 		t.Fatalf("internal bandwidth = %v, want %v", got, want)
 	}
 }
+
+// benchDevice is the 8-channel, 65,536-page device the flash benchmarks
+// run on.
+func benchDevice(b *testing.B) *Device {
+	b.Helper()
+	d, err := NewDevice(Geometry{
+		Channels: 8, ChipsPerChannel: 1, DiesPerChip: 2, PlanesPerDie: 1,
+		BlocksPerPlane: 64, PagesPerBlock: 64, PageSize: 4096,
+	}, DefaultTiming())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+// BenchmarkProgram times one timing-only page program (nil payload, as
+// core replay issues them) into the next free page in PPA order. When the
+// device is full the timer stops while every page is invalidated and
+// every block erased.
+func BenchmarkProgram(b *testing.B) {
+	d := benchDevice(b)
+	geo := d.Geometry()
+	total := geo.TotalPages()
+	var at sim.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := PPA(int64(i) % total)
+		if i > 0 && p == 0 {
+			b.StopTimer()
+			for q := PPA(0); int64(q) < total; q++ {
+				if err := d.Invalidate(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for blk := BlockID(0); int64(blk) < geo.TotalBlocks(); blk++ {
+				if _, err := d.Erase(at, blk); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		var err error
+		if at, err = d.Program(at, p, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRead times one page read of a programmed page, visiting every
+// page of the device in a stride-5 order.
+func BenchmarkRead(b *testing.B) {
+	d := benchDevice(b)
+	total := d.Geometry().TotalPages()
+	for p := PPA(0); int64(p) < total; p++ {
+		if _, err := d.Program(0, p, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var at sim.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if at, _, err = d.Read(at, PPA(int64(i)*5%total)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

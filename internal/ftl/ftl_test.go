@@ -254,3 +254,57 @@ func TestOverProvisionReservesSpace(t *testing.T) {
 		t.Fatal("no over-provisioning reserved")
 	}
 }
+
+// benchFTL builds an FTL over an 8-channel device of 65,536 pages and
+// maps its first three quarters of logical space with timing-only writes
+// (nil payloads, as core replay issues them), so a benchmark starts from
+// a steady state in which rewrites need garbage collection. It returns
+// the FTL, the mapped LPA count, and the simulated time the fill ended.
+func benchFTL(b *testing.B) (*FTL, int, sim.Time) {
+	b.Helper()
+	geo := flash.Geometry{
+		Channels: 8, ChipsPerChannel: 1, DiesPerChip: 2, PlanesPerDie: 1,
+		BlocksPerPlane: 64, PagesPerBlock: 64, PageSize: 4096,
+	}
+	dev, err := flash.NewDevice(geo, flash.DefaultTiming())
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := New(dev, Config{})
+	n := int(f.LogicalPages() * 3 / 4)
+	var at sim.Time
+	for l := 0; l < n; l++ {
+		if at, err = f.Write(at, LPA(l), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return f, n, at
+}
+
+// BenchmarkWrite times one out-of-place FTL write — stage, device
+// program, commit, and the garbage collection it triggers amortized over
+// the ops — rewriting the mapped LPAs in a stride-5 order.
+func BenchmarkWrite(b *testing.B) {
+	f, n, at := benchFTL(b)
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if at, err = f.Write(at, LPA(i*5%n), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTranslate times one mapping-table lookup of a mapped LPA, the
+// call core replay makes for every read step.
+func BenchmarkTranslate(b *testing.B) {
+	f, n, _ := benchFTL(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.Translate(LPA(i * 5 % n)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -26,7 +26,7 @@ package sim
 // Like Server, Admission is single-goroutine by the package contract; all
 // concurrency it models is virtual.
 type Admission struct {
-	eng      Scheduler
+	eng      *Engine
 	bands    [][]*Ticket
 	slots    int      // global concurrent-grant cap; <= 0 means unlimited
 	perKey   int      // per-key concurrent-grant cap; <= 0 means unlimited
@@ -95,13 +95,13 @@ func (t *Ticket) Waited() Duration {
 // of priority bands (band bands-1 is the highest), a global slot cap, and
 // a per-key cap. Non-positive caps mean unlimited. It panics if bands < 1
 // or eng is nil.
-func NewAdmission(eng Scheduler, bands, slots, perKey int) *Admission {
+func NewAdmission(eng *Engine, bands, slots, perKey int) *Admission {
 	return NewAdmissionWithPolicy(eng, bands, Policy{Slots: slots, PerKey: perKey})
 }
 
 // NewAdmissionWithPolicy builds a gate with the full policy, including
 // the batched-grant mode. It panics if bands < 1 or eng is nil.
-func NewAdmissionWithPolicy(eng Scheduler, bands int, pol Policy) *Admission {
+func NewAdmissionWithPolicy(eng *Engine, bands int, pol Policy) *Admission {
 	if eng == nil {
 		panic("sim: NewAdmission needs an engine")
 	}

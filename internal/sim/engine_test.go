@@ -131,6 +131,30 @@ func TestEngineMonotonicClockProperty(t *testing.T) {
 	}
 }
 
+// TestEngineEventPoolAllocs pins the Event free list: once a replay-shaped
+// loop reaches steady state (each fired event's struct feeds the next At),
+// scheduling allocates nothing.
+func TestEngineEventPoolAllocs(t *testing.T) {
+	e := &Engine{}
+	var hops int
+	var hop func(now Time)
+	hop = func(now Time) {
+		hops++
+		if hops%1000 != 0 {
+			e.At(now+1, hop)
+		}
+	}
+	e.At(0, hop)
+	e.Run() // warm the pool and the heap capacity
+	allocs := testing.AllocsPerRun(100, func() {
+		e.At(e.Now()+1, hop)
+		e.Run()
+	})
+	if allocs > 0 {
+		t.Errorf("steady-state schedule+run allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
 // BenchmarkEngineStep measures one event-loop step the way a replay uses
 // it: pop the earliest of several pending events, run it, and schedule its
 // successor. Sixteen self-rescheduling chains keep the heap as deep as a
